@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck test race check checksweep nocd-smoke bench benchall benchguard figs quickfigs fuzz clean
+.PHONY: all build vet fmtcheck test race check checksweep benchcheck nocd-smoke bench benchall benchguard figs quickfigs fuzz clean
 
 # Tier-1 flow: build, static checks, tests, then the race detector over
 # the whole module — the sweep engine's worker pool must stay race-clean.
@@ -32,7 +32,14 @@ checksweep:
 	$(GO) run ./cmd/sweep -check -k 4 -n 2 -loads 0.2,0.6 \
 		-warmup 200 -measure 200 -sat=false >/dev/null
 
-check: build vet fmtcheck test race checksweep
+# benchcheck vets and tests the fbbench benchmark module. It is its own
+# Go module (replacing flatnet with this checkout), so the root
+# `go test ./...` never compiles it, yet it builds on sweep.Job,
+# nocsvc/client and sim.Restore directly.
+benchcheck:
+	cd fbbench && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet fmtcheck test race checksweep benchcheck
 
 # nocd-smoke builds the real nocd binary, launches it on an ephemeral
 # port, drives open -> batch_estimate -> stats -> close through the

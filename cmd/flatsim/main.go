@@ -37,20 +37,21 @@ import (
 
 	"flatnet"
 	"flatnet/internal/sim"
+	"flatnet/internal/spec"
 )
 
 func main() {
 	var o runOpts
 	flag.StringVar(&o.topo, "topo", "ff", "topology: ff | butterfly | clos | hypercube | sf | df")
 	flag.IntVar(&o.k, "k", 32, "ary (terminals per router for ff/clos groups)")
-	flag.IntVar(&o.n, "n", 2, "stages (ff/butterfly: network has k^n nodes)")
+	flag.IntVar(&o.n, "n", 2, "stages (ff/butterfly/clos: network has k^n nodes)")
 	flag.IntVar(&o.dims, "dims", 10, "hypercube dimensions")
 	flag.IntVar(&o.taper, "taper", 2, "folded-Clos taper (terminals/uplinks ratio)")
 	flag.IntVar(&o.q, "q", 5, "Slim Fly field size (odd prime power)")
 	flag.IntVar(&o.gh, "gh", 2, "dragonfly global channels per router")
 	flag.IntVar(&o.ga, "ga", 0, "dragonfly routers per group (0 = balanced 2h)")
 	flag.IntVar(&o.conc, "p", 0, "sf/df terminals per router (0 = balanced default)")
-	flag.StringVar(&o.alg, "alg", "clos", "ff algorithm: min | val | ugal | ugal-s | clos (sf/df: min | val | ugal | ugal-s)")
+	flag.StringVar(&o.alg, "alg", "clos", "ff algorithm: min | val | ugal | ugal-s | clos (sf/df: min | val | ugal | ugal-s; butterfly, clos and hypercube have one algorithm and ignore -alg)")
 	flag.StringVar(&o.pattern, "pattern", "uniform", "traffic pattern from the registry ('help' lists every name and alias)")
 	flag.StringVar(&o.hot, "hot", "", "comma-separated hot terminals for the hotspot pattern / incast sink (default 0)")
 	flag.Float64Var(&o.hotfrac, "hotfrac", 0, "fraction of hotspot traffic directed at the hot set (0 = default 0.1)")
@@ -147,6 +148,25 @@ type runOpts struct {
 	stop       func() bool // polled cancellation hook (nil = never stop)
 }
 
+// spec copies the network, routing and workload flags into a spec. -alg
+// chooses among a family's algorithms; a family with only one ignores it.
+func (o runOpts) spec() (spec.Spec, error) {
+	hot, err := parseHotList(o.hot)
+	if err != nil {
+		return spec.Spec{}, err
+	}
+	s := spec.Spec{
+		Net: o.topo, K: o.k, N: o.n, Dims: o.dims, Taper: o.taper,
+		Q: o.q, A: o.ga, H: o.gh, P: o.conc, Alg: o.alg,
+		Pattern: o.pattern, Hot: hot, HotFraction: o.hotfrac,
+		BurstPeak: o.burstPeak, BurstLen: o.burstLen, Seed: o.seed,
+	}
+	if spec.OnlyAlg(o.topo) != "" {
+		s.Alg = ""
+	}
+	return s, nil
+}
+
 // telemetryReg is process-global: the expvar namespace is write-once,
 // so every run in the process shares one registry.
 var telemetryReg = flatnet.NewTelemetryRegistry()
@@ -180,99 +200,25 @@ func run(o runOpts) error {
 		fmt.Fprintf(os.Stderr, "flatsim: serving metrics on http://%s/debug/vars\n", srv.Addr())
 	}
 
+	s, err := o.spec()
+	if err != nil {
+		return err
+	}
 	if o.analytic {
 		if o.sweep || o.batch > 0 || o.trace != "" || o.window > 0 || o.check ||
 			o.flitTrace != "" || o.checkpoint != "" || o.restore != "" {
 			return fmt.Errorf("-analytic is a pure graph evaluation; drop the simulation flags")
 		}
-		return runAnalytic(o)
+		return runAnalytic(s)
 	}
 
-	var (
-		g     *flatnet.Graph
-		alg   flatnet.Algorithm
-		nodes int
-		conc  int // concentration for group patterns
-		err   error
-	)
-	switch o.topo {
-	case "ff":
-		ff, e := flatnet.NewFlatFly(o.k, o.n)
-		if e != nil {
-			return e
-		}
-		alg, err = flatnet.NewFlatFlyAlgorithm(o.alg, ff)
-		if err != nil {
-			return err
-		}
-		g, nodes, conc = ff.Graph(), ff.NumNodes, ff.K
-		fmt.Printf("topology: %s (N=%d, routers=%d, radix k'=%d), routing: %s\n",
-			ff.Name(), ff.NumNodes, ff.NumRouters, ff.Radix, alg.Name())
-	case "butterfly":
-		b, e := flatnet.NewButterfly(o.k, o.n)
-		if e != nil {
-			return e
-		}
-		alg = flatnet.NewButterflyDest(b)
-		g, nodes, conc = b.Graph(), b.NumNodes, b.K
-		fmt.Printf("topology: %s (N=%d), routing: destination-based\n", b.Name(), b.NumNodes)
-	case "clos":
-		if o.taper < 1 {
-			return fmt.Errorf("taper must be >= 1")
-		}
-		fc, e := flatnet.NewFoldedClos(o.k, o.k/o.taper, o.k, max(1, o.k/(2*o.taper)))
-		if e != nil {
-			return e
-		}
-		alg = flatnet.NewFoldedClosAdaptive(fc)
-		g, nodes, conc = fc.Graph(), fc.NumNodes, fc.Terminals
-		fmt.Printf("topology: %s (N=%d), routing: adaptive sequential\n", fc.Name(), fc.NumNodes)
-	case "hypercube":
-		h, e := flatnet.NewHypercube(o.dims)
-		if e != nil {
-			return e
-		}
-		alg = flatnet.NewECube(h)
-		g, nodes, conc = h.Graph(), h.NumNodes, 1
-		fmt.Printf("topology: %s (N=%d), routing: e-cube\n", h.Name(), h.NumNodes)
-	case "sf":
-		s, e := flatnet.NewSlimFly(o.q, o.conc)
-		if e != nil {
-			return e
-		}
-		alg, err = flatnet.NewSlimFlyAlgorithm(o.alg, s)
-		if err != nil {
-			return err
-		}
-		g, nodes, conc = s.Graph(), s.NumNodes, s.P
-		fmt.Printf("topology: %s (N=%d, routers=%d, degree k'=%d, diameter %d), routing: %s\n",
-			s.Name(), s.NumNodes, s.NumRouters, s.NetworkDegree, s.Diameter(), alg.Name())
-	case "df":
-		d, e := flatnet.NewDragonfly(o.conc, o.ga, o.gh)
-		if e != nil {
-			return e
-		}
-		alg, err = flatnet.NewDragonflyAlgorithm(o.alg, d)
-		if err != nil {
-			return err
-		}
-		// Group patterns treat one group's terminals as the unit, which is
-		// what makes -pattern worstcase the dragonfly adversary.
-		g, nodes, conc = d.Graph(), d.NumNodes, d.A*d.P
-		fmt.Printf("topology: %s (N=%d, routers=%d, groups=%d), routing: %s\n",
-			d.Name(), d.NumNodes, d.NumRouters, d.Groups, alg.Name())
-	default:
-		return fmt.Errorf("unknown topology %q", o.topo)
-	}
-
-	hot, err := parseHotList(o.hot)
+	g, alg, err := s.Build()
 	if err != nil {
 		return err
 	}
-	p, err := flatnet.BuildPattern(o.pattern, flatnet.PatternCtx{
-		Nodes: nodes, Seed: o.seed, Concentration: conc,
-		HotSet: hot, HotFraction: o.hotfrac,
-	})
+	fmt.Printf("topology: %s (N=%d, routers=%d, channels=%d), routing: %s\n",
+		g.Label, g.NumNodes, g.NumRouters(), g.CountChannels(), alg.Name())
+	p, err := s.Destinations()
 	if err != nil {
 		return fmt.Errorf("%w (try -pattern help)", err)
 	}
@@ -336,8 +282,13 @@ func run(o runOpts) error {
 		return runTraceJSONL(g, alg, cfg, o)
 	}
 
+	src, err := s.Arrivals(p)
+	if err != nil {
+		return err
+	}
+
 	if o.collective != "" {
-		return runCollective(g, alg, cfg, p, o)
+		return runCollective(g, alg, cfg, src, o)
 	}
 
 	if o.window > 0 {
@@ -377,7 +328,8 @@ func run(o runOpts) error {
 	}
 
 	if !o.sweep {
-		return runPoint(g, alg, cfg, p, o)
+		_, err := runPoint(g, alg, cfg, src, o)
+		return err
 	}
 
 	loads := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95}
@@ -392,7 +344,7 @@ func run(o runOpts) error {
 		}
 		loads = kept
 	}
-	rc := flatnet.RunConfig{Pattern: p, Burst: burstConfig(o), Warmup: o.warmup, Measure: o.measure, Stop: o.stop, Workers: o.workers}
+	rc := flatnet.RunConfig{Source: src, Warmup: o.warmup, Measure: o.measure, Stop: o.stop, Workers: o.workers}
 	checked := func() error { return nil }
 	if o.check {
 		checked = flatnet.ArmCheck(&rc, flatnet.CheckConfig{})
@@ -421,30 +373,8 @@ func run(o runOpts) error {
 // runAnalytic evaluates the selected topology graph-analytically —
 // no simulation, so instances far beyond cycle-accurate reach (100k+
 // endpoints) report in well under a second.
-func runAnalytic(o runOpts) error {
-	var (
-		tp  flatnet.Topology
-		err error
-	)
-	switch o.topo {
-	case "ff":
-		tp, err = flatnet.NewFlatFly(o.k, o.n)
-	case "butterfly":
-		tp, err = flatnet.NewButterfly(o.k, o.n)
-	case "clos":
-		if o.taper < 1 {
-			return fmt.Errorf("taper must be >= 1")
-		}
-		tp, err = flatnet.NewFoldedClos(o.k, o.k/o.taper, o.k, max(1, o.k/(2*o.taper)))
-	case "hypercube":
-		tp, err = flatnet.NewHypercube(o.dims)
-	case "sf":
-		tp, err = flatnet.NewSlimFly(o.q, o.conc)
-	case "df":
-		tp, err = flatnet.NewDragonfly(o.conc, o.ga, o.gh)
-	default:
-		return fmt.Errorf("unknown topology %q", o.topo)
-	}
+func runAnalytic(s spec.Spec) error {
+	tp, err := s.Topology()
 	if err != nil {
 		return err
 	}
@@ -467,10 +397,10 @@ func runAnalytic(o runOpts) error {
 
 // runPoint measures a single open-loop load point with probes attached,
 // reporting latency percentiles and the hottest channels, and optionally
-// recording a flit trace.
-func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, p flatnet.Pattern, o runOpts) error {
+// recording a flit trace. It returns the measured point.
+func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src flatnet.Source, o runOpts) (r flatnet.LoadPointResult, err error) {
 	rc := flatnet.RunConfig{
-		Load: o.load, Pattern: p, Burst: burstConfig(o),
+		Load: o.load, Source: src,
 		Warmup: o.warmup, Measure: o.measure,
 		Stop: o.stop, Workers: o.workers,
 	}
@@ -487,7 +417,7 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, p fla
 	if o.restore != "" {
 		f, err := os.Open(o.restore)
 		if err != nil {
-			return err
+			return r, err
 		}
 		defer f.Close()
 		rc.Resume = f
@@ -495,7 +425,7 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, p fla
 	if o.checkpoint != "" {
 		f, err := os.Create(o.checkpoint)
 		if err != nil {
-			return err
+			return r, err
 		}
 		ckptFile = f
 		rc.Checkpoint = f
@@ -522,14 +452,14 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, p fla
 	if o.check {
 		checked = flatnet.ArmCheck(&rc, flatnet.CheckConfig{})
 	}
-	r, err := flatnet.RunLoadPoint(g, alg, cfg, rc)
+	r, err = flatnet.RunLoadPoint(g, alg, cfg, rc)
 	if ckptFile != nil {
 		if cerr := ckptFile.Close(); err == nil && cerr != nil {
 			err = cerr
 		}
 	}
 	if err != nil {
-		return err
+		return r, err
 	}
 	if o.restore != "" {
 		fmt.Printf("restored warm state from %s (measurement started at cycle %d)\n", o.restore, o.warmup)
@@ -538,7 +468,7 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, p fla
 		fmt.Printf("warm checkpoint -> %s\n", o.checkpoint)
 	}
 	if err := checked(); err != nil {
-		return err
+		return r, err
 	}
 	status := ""
 	if r.Saturated {
@@ -561,7 +491,7 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, p fla
 	}
 	if tracer != nil {
 		if err := writeFlitTrace(o.flitTrace, tracer); err != nil {
-			return err
+			return r, err
 		}
 		fmt.Printf("flit trace: %d events (%d evicted) -> %s\n",
 			tracer.Len(), tracer.Dropped(), o.flitTrace)
@@ -569,18 +499,18 @@ func runPoint(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, p fla
 	if recorded != nil {
 		f, err := os.Create(o.traceOut)
 		if err != nil {
-			return err
+			return r, err
 		}
 		werr := flatnet.WriteWorkloadJSONL(f, *recorded)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
-			return werr
+			return r, werr
 		}
 		fmt.Printf("workload trace: %d packets -> %s\n", len(*recorded), o.traceOut)
 	}
-	return nil
+	return r, nil
 }
 
 // writeFlitTrace serializes a tracer's events: JSON lines for .jsonl
@@ -603,49 +533,31 @@ func writeFlitTrace(path string, t *flatnet.Tracer) error {
 }
 
 // parseHotList parses the -hot comma-separated terminal list.
-func parseHotList(s string) ([]flatnet.NodeID, error) {
+func parseHotList(s string) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
 	parts := strings.Split(s, ",")
-	hot := make([]flatnet.NodeID, 0, len(parts))
+	hot := make([]int, 0, len(parts))
 	for _, part := range parts {
 		var id int
 		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &id); err != nil || id < 0 {
 			return nil, fmt.Errorf("-hot: bad terminal %q (want a comma-separated list of node ids)", part)
 		}
-		hot = append(hot, flatnet.NodeID(id))
+		hot = append(hot, id)
 	}
 	return hot, nil
 }
 
-// burstConfig returns the on/off arrival process selected by
-// -burst-peak/-burst-len, nil for the default Bernoulli process.
-func burstConfig(o runOpts) *flatnet.BurstConfig {
-	if o.burstPeak <= 0 {
-		return nil
-	}
-	return &flatnet.BurstConfig{Peak: o.burstPeak, AvgBurst: o.burstLen}
-}
-
 // runCollective executes one collective schedule to completion,
 // optionally contending with background traffic at -load.
-func runCollective(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, p flatnet.Pattern, o runOpts) error {
+func runCollective(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, src flatnet.Source, o runOpts) error {
 	cc := flatnet.CollectiveConfig{
 		Kind: o.collective, Packets: o.chunk,
 		Warmup: o.warmup, Stop: o.stop, Workers: o.workers,
 	}
 	if o.loadSet && o.load > 0 {
-		cc.Load = o.load
-		if bc := burstConfig(o); bc != nil {
-			src, err := flatnet.NewOnOffSource(p, bc.Peak, bc.AvgBurst)
-			if err != nil {
-				return err
-			}
-			cc.Source = src
-		} else {
-			cc.Pattern = p
-		}
+		cc.Load, cc.Source = o.load, src
 	}
 	var san *flatnet.Sanitizer
 	if o.check {
@@ -745,11 +657,4 @@ func runTrace(g *flatnet.Graph, alg flatnet.Algorithm, cfg flatnet.Config, path 
 	fmt.Printf("replayed %d packets in %d cycles; avg latency %.2f cycles\n",
 		delivered, n.Cycle(), latSum/float64(delivered))
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"flatnet"
+	"flatnet/internal/spec"
 	"flatnet/internal/topo"
 )
 
@@ -34,47 +35,23 @@ func main() {
 	}
 }
 
+// inspectOnly builds the topologies flattopo shows that no simulation
+// surface runs: the low-radix torus and the 2-D generalized hypercube.
+var inspectOnly = map[string]func(k, n int) (flatnet.Topology, error){
+	"torus": func(k, n int) (flatnet.Topology, error) { return flatnet.NewTorus(k, n) },
+	"ghc":   func(k, _ int) (flatnet.Topology, error) { return flatnet.NewGHC([]int{k, k}) },
+}
+
 func run(topoName string, k, n, dims, taper int, dot bool) error {
 	var t flatnet.Topology
-	switch topoName {
-	case "ff":
-		ff, err := flatnet.NewFlatFly(k, n)
-		if err != nil {
-			return err
-		}
-		t = ff
-	case "butterfly":
-		b, err := flatnet.NewButterfly(k, n)
-		if err != nil {
-			return err
-		}
-		t = b
-	case "clos":
-		fc, err := flatnet.NewFoldedClos(k, k/taper, k, maxInt(1, k/(2*taper)))
-		if err != nil {
-			return err
-		}
-		t = fc
-	case "hypercube":
-		h, err := flatnet.NewHypercube(dims)
-		if err != nil {
-			return err
-		}
-		t = h
-	case "torus":
-		tr, err := flatnet.NewTorus(k, n)
-		if err != nil {
-			return err
-		}
-		t = tr
-	case "ghc":
-		g, err := flatnet.NewGHC([]int{k, k})
-		if err != nil {
-			return err
-		}
-		t = g
-	default:
-		return fmt.Errorf("unknown topology %q", topoName)
+	var err error
+	if build, ok := inspectOnly[topoName]; ok {
+		t, err = build(k, n)
+	} else {
+		t, err = spec.Spec{Net: topoName, K: k, N: n, Dims: dims, Taper: taper}.Topology()
+	}
+	if err != nil {
+		return err
 	}
 	g := t.Graph()
 	if dot {
@@ -96,11 +73,4 @@ func run(topoName string, k, n, dims, taper int, dot bool) error {
 	}
 	fmt.Println("graph:      valid")
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -239,15 +239,7 @@ func run(ctx context.Context, cfg cliConfig, out, progress io.Writer) error {
 // describe renders the network parameters that matter for cfg.net,
 // with balanced defaults resolved the same way the jobs resolve them.
 func (cfg cliConfig) describe() string {
-	j := sweep.Job{Net: cfg.net, K: cfg.k, N: cfg.n, Q: cfg.q, A: cfg.ga, H: cfg.gh, P: cfg.conc}.Normalize()
-	switch j.Net {
-	case "slimfly":
-		return fmt.Sprintf("q=%d p=%d", j.Q, j.P)
-	case "dragonfly":
-		return fmt.Sprintf("h=%d a=%d p=%d", j.H, j.A, j.P)
-	default:
-		return fmt.Sprintf("k=%d n=%d", j.K, j.N)
-	}
+	return sweep.Job{Net: cfg.net, K: cfg.k, N: cfg.n, Q: cfg.q, A: cfg.ga, H: cfg.gh, P: cfg.conc}.Spec().Params()
 }
 
 // runAnalytic evaluates the network as a single graph-analytic job —

@@ -14,8 +14,8 @@ import (
 
 	"flatnet/internal/core"
 	"flatnet/internal/sim"
+	"flatnet/internal/spec"
 	"flatnet/internal/sweep"
-	"flatnet/internal/topo"
 )
 
 // Scale selects the fidelity of the simulation experiments.
@@ -198,82 +198,57 @@ func Fig6On(eng *sweep.Engine, patternName string, s Scale) ([]TopoSeries, error
 	if err != nil {
 		return nil, err
 	}
-	n := f.NumNodes
 	dims := 0
-	for c := 1; c < n; c <<= 1 {
+	for c := 1; c < f.NumNodes; c <<= 1 {
 		dims++
+	}
+	uplinks, leaves, middles, err := spec.TaperedClos(s.K, s.N, 2)
+	if err != nil {
+		return nil, err
 	}
 	base := s.job("", patternName)
 	// Every topology sees the worst-case pattern at the flattened
 	// butterfly's concentration so the comparison is like-for-like.
 	base.Conc = f.K
-	type entry struct {
-		topoName string
-		mut      func(j *sweep.Job)
-	}
-	entries := []entry{
-		{fmt.Sprintf("%d-ary %d-flat", s.K, s.N), func(j *sweep.Job) {
-			j.Alg = "CLOS AD"
-		}},
-		{fmt.Sprintf("%d-ary %d-fly", s.K, s.N), func(j *sweep.Job) {
-			j.Net, j.Alg = "butterfly", "destination"
-		}},
-		{"folded Clos", func(j *sweep.Job) {
+	muts := []func(j *sweep.Job){
+		func(j *sweep.Job) { j.Alg = "CLOS AD" },
+		func(j *sweep.Job) { j.Net, j.Alg = "butterfly", "destination" },
+		func(j *sweep.Job) {
 			j.Net, j.Alg = "foldedclos", "adaptive sequential"
 			j.K, j.N = f.K, 0
-			j.Uplinks, j.Leaves, j.Middles = f.K/2, f.NumRouters, maxInt(1, f.K/4)
-		}},
-		{fmt.Sprintf("%d-cube", dims), func(j *sweep.Job) {
+			j.Uplinks, j.Leaves, j.Middles = uplinks, leaves, middles
+		},
+		func(j *sweep.Job) {
 			j.Net, j.Alg = "hypercube", "e-cube"
 			j.K, j.N = 0, dims
-		}},
+		},
 	}
-	specs := make([]sweep.SeriesSpec, len(entries))
-	for i, e := range entries {
+	specs := make([]sweep.SeriesSpec, len(muts))
+	for i, mut := range muts {
 		j := base
-		e.mut(&j)
+		mut(&j)
 		specs[i] = sweep.SeriesSpec{Base: j, Loads: s.Loads, Saturation: true}
 	}
 	res, err := seqEngine(eng).RunSeries(context.Background(), specs)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig6: %w", err)
 	}
-	// Topology display names come from the constructors so the figure
-	// labels match the rest of the repo.
-	names, algNames, err := fig6Names(s, f, dims)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]TopoSeries, len(entries))
-	for i := range entries {
+	out := make([]TopoSeries, len(specs))
+	for i, sp := range specs {
+		// Topology display names come from the constructors so the
+		// figure labels match the rest of the repo.
+		t, err := sp.Base.Spec().Topology()
+		if err != nil {
+			return nil, err
+		}
 		out[i] = TopoSeries{
-			Topology:             names[i],
-			Algorithm:            algNames[i],
+			Topology:             t.Name(),
+			Algorithm:            sp.Base.Alg,
 			Points:               res[i].Points,
 			SaturationThroughput: res[i].SaturationThroughput,
 		}
 	}
 	return out, nil
-}
-
-// fig6Names reproduces the display names the topology and routing
-// constructors report, without building simulation state.
-func fig6Names(s Scale, f *core.FlatFly, dims int) (topoNames, algNames []string, err error) {
-	bf, err := topo.NewButterfly(s.K, s.N)
-	if err != nil {
-		return nil, nil, err
-	}
-	fc, err := topo.NewFoldedClos(f.K, f.K/2, f.NumRouters, maxInt(1, f.K/4))
-	if err != nil {
-		return nil, nil, err
-	}
-	hc, err := topo.NewHypercube(dims)
-	if err != nil {
-		return nil, nil, err
-	}
-	topoNames = []string{f.Name(), bf.Name(), fc.Name(), hc.Name()}
-	algNames = []string{"CLOS AD", "destination", "adaptive sequential", "e-cube"}
-	return topoNames, algNames, nil
 }
 
 // ConfigSeries is one (k, n') configuration's Fig. 12 result.
@@ -329,11 +304,4 @@ func Fig12On(eng *sweep.Engine, alg string, nodes int, loads []float64, s Scale)
 		out[i] = ConfigSeries{Config: c, Points: res[i].Points, SaturationThroughput: res[i].SaturationThroughput}
 	}
 	return out, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

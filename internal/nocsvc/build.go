@@ -1,9 +1,8 @@
 package nocsvc
 
 import (
-	"flatnet/internal/core"
-	"flatnet/internal/routing"
 	"flatnet/internal/sim"
+	"flatnet/internal/spec"
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
@@ -47,127 +46,45 @@ func (p *OpenParams) normalize() {
 	}
 }
 
-// buildNetwork materializes a session's channel graph, routing algorithm
-// and simulator configuration from normalized OpenParams. It also
-// reports the topology's concentration (terminals per router group),
-// which seeds the group traffic patterns. maxNodes is the server's
-// admission-control cap on topology size; 0 means no cap.
-func buildNetwork(p OpenParams, maxNodes int) (*topo.Graph, sim.Algorithm, sim.Config, int, *Error) {
-	var (
-		g    *topo.Graph
-		alg  sim.Algorithm
-		conc int
-	)
-	switch p.Topology {
-	case "flatfly":
-		f, err := core.NewFlatFly(p.K, p.N)
-		if err != nil {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest, "open: %v", err)
-		}
-		r := p.Routing
-		if r == "" {
-			r = "min"
-		}
-		alg, err = routing.NewFlatFlyAlgorithm(r, f)
-		if err != nil {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest, "open: %v", err)
-		}
-		g = f.Graph()
-		conc = f.K
-	case "butterfly":
-		b, err := topo.NewButterfly(p.K, p.N)
-		if err != nil {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest, "open: %v", err)
-		}
-		if p.Routing != "" && p.Routing != "destination" {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest,
-				"open: butterfly supports routing \"destination\", not %q", p.Routing)
-		}
-		alg = routing.NewButterflyDest(b)
-		g = b.Graph()
-		conc = p.K
-	case "foldedclos":
-		// The §3.3 equal-bisection convention: 2:1 tapered, K terminals
-		// per leaf, K^N total terminals (mirrors cmd/flatsim's -taper 2).
-		fc, err := topo.TaperedClosForNodes(pow(p.K, p.N), 2*p.K)
-		if err != nil {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest, "open: %v", err)
-		}
-		if p.Routing != "" && p.Routing != "adaptive sequential" {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest,
-				"open: foldedclos supports routing \"adaptive sequential\", not %q", p.Routing)
-		}
-		alg = routing.NewFoldedClosAdaptive(fc)
-		g = fc.Graph()
-		conc = p.K
-	case "hypercube":
-		h, err := topo.NewHypercube(p.N)
-		if err != nil {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest, "open: %v", err)
-		}
-		if p.Routing != "" && p.Routing != "e-cube" {
-			return nil, nil, sim.Config{}, 0, errf(CodeBadRequest,
-				"open: hypercube supports routing \"e-cube\", not %q", p.Routing)
-		}
-		alg = routing.NewECube(h)
-		g = h.Graph()
-		conc = 1
-	default:
-		return nil, nil, sim.Config{}, 0, errf(CodeBadRequest, "open: unknown topology %q", p.Topology)
+// Spec returns the session's network, routing algorithm and background
+// workload as a spec.Spec. A foldedclos is the paper's §3.3
+// equal-bisection Clos: spec.TaperedClos(K, N, 2), K^N terminals.
+func (p OpenParams) Spec() spec.Spec {
+	return spec.Spec{
+		Net: p.Topology, K: p.K, N: p.N, Taper: 2, Alg: p.Routing,
+		Pattern: p.Pattern, Hot: p.Hot, HotFraction: p.HotFraction,
+		BurstPeak: p.BurstPeak, BurstLen: p.BurstLen, Seed: p.Seed,
 	}
-	if maxNodes > 0 && g.NumNodes > maxNodes {
-		return nil, nil, sim.Config{}, 0, errf(CodeBadRequest,
-			"open: topology has %d terminals, above the server cap of %d", g.NumNodes, maxNodes)
+}
+
+// buildNetwork materializes a session's channel graph, routing
+// algorithm, simulator configuration and background workload from
+// normalized OpenParams. maxNodes is the server's admission-control cap
+// on topology size (0 means no cap); it is checked against the spec's
+// parameter-only terminal count before anything is constructed. A
+// workload source carries no identity in a snapshot beyond its name and
+// mutable state, so a clone rebuilds an identical one from the same
+// params.
+func buildNetwork(p OpenParams, maxNodes int) (*topo.Graph, sim.Algorithm, sim.Config, traffic.Source, *Error) {
+	s := p.Spec()
+	if n := s.Nodes(); maxNodes > 0 && n > maxNodes {
+		return nil, nil, sim.Config{}, nil, errf(CodeBadRequest,
+			"open: topology has %d terminals, above the server cap of %d", n, maxNodes)
+	}
+	g, alg, err := s.Build()
+	if err != nil {
+		return nil, nil, sim.Config{}, nil, errf(CodeBadRequest, "open: %v", err)
+	}
+	src, err := s.Source()
+	if err != nil {
+		return nil, nil, sim.Config{}, nil, errf(CodeBadRequest, "open: workload: %v", err)
 	}
 	cfg := sim.Config{
 		Seed:       p.Seed,
 		BufPerPort: p.BufPerPort,
 		PacketSize: p.PacketSize,
 	}
-	return g, alg, cfg, conc, nil
-}
-
-// buildWorkload materializes a session's background workload source
-// from normalized OpenParams: the registry pattern (group patterns use
-// the topology's concentration, hotspot/incast the params' hot set)
-// wrapped in either the default Bernoulli arrival process or, when
-// burst_peak is set, the two-state on/off process. A source carries no
-// identity in a snapshot beyond its name and mutable state, so a clone
-// rebuilds an identical one from the same params.
-func buildWorkload(p OpenParams, nodes, conc int) (traffic.Source, error) {
-	hot := make([]topo.NodeID, len(p.Hot))
-	for i, h := range p.Hot {
-		hot[i] = topo.NodeID(h)
-	}
-	pat, err := traffic.Build(p.Pattern, traffic.BuildCtx{
-		Nodes:         nodes,
-		Seed:          p.Seed,
-		Concentration: conc,
-		HotSet:        hot,
-		HotFraction:   p.HotFraction,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if p.BurstPeak > 0 {
-		return traffic.NewOnOff(pat, p.BurstPeak, p.BurstLen)
-	}
-	return traffic.NewBernoulli(pat), nil
-}
-
-// pow returns k^n without overflow surprises for protocol-bounded
-// inputs (k <= 1024, n <= 20): it saturates at a value any maxNodes cap
-// rejects.
-func pow(k, n int) int {
-	const lim = 1 << 30
-	v := 1
-	for i := 0; i < n; i++ {
-		v *= k
-		if v <= 0 || v > lim {
-			return lim
-		}
-	}
-	return v
+	return g, alg, cfg, src, nil
 }
 
 // packetsFor converts a transfer size in bytes into whole packets given

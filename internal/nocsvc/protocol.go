@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 
 	"flatnet/internal/traffic"
@@ -127,14 +128,16 @@ type Request struct {
 // OpenParams describes the simulation a session serves estimates from.
 type OpenParams struct {
 	// Topology selects the network: "flatfly" (K-ary N-flat),
-	// "butterfly" (K-ary N-fly), "foldedclos" (2:1 tapered, K terminals
-	// per leaf) or "hypercube" (N-dimensional, K ignored).
+	// "butterfly" (K-ary N-fly), "foldedclos" (the 2:1 tapered
+	// spec.TaperedClos(K, N, 2): K terminals per leaf, K^N terminals) or
+	// "hypercube" (N-dimensional, K ignored).
 	Topology string `json:"topology"`
 	K        int    `json:"k,omitempty"`
 	N        int    `json:"n"`
 	// Routing selects the algorithm. flatfly accepts the paper's five
-	// ("min", "val", "ugal", "ugal-s", "clos" and their long forms);
-	// other topologies have a single algorithm and accept "" or its name.
+	// ("min", "val", "ugal", "ugal-s", "clos" and their long forms; ""
+	// means "min"); other topologies have a single algorithm and accept
+	// "" or its name.
 	Routing string `json:"routing,omitempty"`
 	// BufPerPort is flit buffering per router input port (default 32).
 	BufPerPort int `json:"buf_per_port,omitempty"`
@@ -348,14 +351,16 @@ func DecodeRequest(line []byte) (Request, *Error) {
 	return req, nil
 }
 
+// topologies are the network families open_session accepts.
+var topologies = []string{"flatfly", "butterfly", "foldedclos", "hypercube"}
+
 // validate checks an OpenParams' protocol-level bounds. The topology
 // constructors apply their own mathematical constraints on top.
 func (p *OpenParams) validate() *Error {
-	switch p.Topology {
-	case "flatfly", "butterfly", "foldedclos", "hypercube":
-	case "":
+	if p.Topology == "" {
 		return errf(CodeBadRequest, "open: missing topology")
-	default:
+	}
+	if !slices.Contains(topologies, p.Topology) {
 		return errf(CodeBadRequest, "open: unknown topology %q", p.Topology)
 	}
 	if p.K < 0 || p.K > 1024 {

@@ -7,107 +7,37 @@ import (
 
 	"flatnet/internal/analysis"
 	"flatnet/internal/check"
-	"flatnet/internal/core"
 	"flatnet/internal/routing"
 	"flatnet/internal/sim"
+	"flatnet/internal/spec"
 	"flatnet/internal/topo"
 	"flatnet/internal/traffic"
 )
 
-// build materializes the job's network, routing algorithm, traffic
-// pattern and simulator configuration. Parameter conventions per Net:
-//
-//	"flatfly"    K-ary N-flat; honors ChannelLatency and Multiplicity.
-//	             Algs: "MIN AD", "VAL", "UGAL", "UGAL-S", "CLOS AD"
-//	             (and the short forms routing.NewFlatFlyAlgorithm takes).
-//	"butterfly"  K-ary N-fly. Alg: "destination".
-//	"foldedclos" K terminals per leaf, Uplinks, Leaves, Middles.
-//	             Alg: "adaptive sequential".
-//	"hypercube"  N-dimensional binary hypercube. Alg: "e-cube".
-//	"slimfly"    MMS Slim Fly over GF(Q), P terminals per router
-//	             (0 = ⌈k'/2⌉). Algs: "min", "val", "ugal", "ugal-s".
-//	"dragonfly"  H global channels per router, A routers per group
-//	             (0 = 2H), P terminals per router (0 = H).
-//	             Algs: "min", "val", "ugal", "ugal-s".
+// Spec returns the job's network, routing algorithm and workload as a
+// spec.Spec, the one description every surface builds from.
+func (j Job) Spec() spec.Spec {
+	return spec.Spec{
+		Net: j.Net, K: j.K, N: j.N,
+		Uplinks: j.Uplinks, Leaves: j.Leaves, Middles: j.Middles,
+		Q: j.Q, A: j.A, H: j.H, P: j.P,
+		ChannelLatency: j.ChannelLatency, Multiplicity: j.Multiplicity,
+		Alg: j.Alg, Pattern: j.Pattern, Conc: j.Conc,
+		Hot: j.Hot, HotFraction: j.HotFraction,
+		BurstPeak: j.BurstPeak, BurstLen: j.BurstLen, Seed: j.Seed,
+	}
+}
+
+// build materializes the job's network, routing algorithm, destination
+// pattern and simulator configuration through its spec.
 func (j Job) build() (*topo.Graph, sim.Algorithm, traffic.Pattern, sim.Config, error) {
 	j = j.Normalize()
-	var (
-		g   *topo.Graph
-		alg sim.Algorithm
-	)
-	switch j.Net {
-	case "flatfly":
-		var opts []core.Option
-		if j.ChannelLatency != 1 {
-			opts = append(opts, core.WithChannelLatency(j.ChannelLatency))
-		}
-		if j.Multiplicity != 1 {
-			opts = append(opts, core.WithMultiplicity(j.Multiplicity))
-		}
-		f, err := core.NewFlatFly(j.K, j.N, opts...)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		alg, err = routing.NewFlatFlyAlgorithm(j.Alg, f)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		g = f.Graph()
-	case "butterfly":
-		b, err := topo.NewButterfly(j.K, j.N)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		if j.Alg != "destination" {
-			return nil, nil, nil, sim.Config{}, fmt.Errorf("sweep: butterfly supports alg \"destination\", not %q", j.Alg)
-		}
-		alg = routing.NewButterflyDest(b)
-		g = b.Graph()
-	case "foldedclos":
-		fc, err := topo.NewFoldedClos(j.K, j.Uplinks, j.Leaves, j.Middles)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		if j.Alg != "adaptive sequential" {
-			return nil, nil, nil, sim.Config{}, fmt.Errorf("sweep: foldedclos supports alg \"adaptive sequential\", not %q", j.Alg)
-		}
-		alg = routing.NewFoldedClosAdaptive(fc)
-		g = fc.Graph()
-	case "hypercube":
-		h, err := topo.NewHypercube(j.N)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		if j.Alg != "e-cube" {
-			return nil, nil, nil, sim.Config{}, fmt.Errorf("sweep: hypercube supports alg \"e-cube\", not %q", j.Alg)
-		}
-		alg = routing.NewECube(h)
-		g = h.Graph()
-	case "slimfly":
-		s, err := topo.NewSlimFly(j.Q, j.P)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		alg, err = routing.NewSlimFlyAlgorithm(j.Alg, s)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		g = s.Graph()
-	case "dragonfly":
-		d, err := topo.NewDragonfly(j.P, j.A, j.H)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		alg, err = routing.NewDragonflyAlgorithm(j.Alg, d)
-		if err != nil {
-			return nil, nil, nil, sim.Config{}, err
-		}
-		g = d.Graph()
-	default:
-		return nil, nil, nil, sim.Config{}, fmt.Errorf("sweep: unknown network constructor %q", j.Net)
+	s := j.Spec()
+	g, alg, err := s.Build()
+	if err != nil {
+		return nil, nil, nil, sim.Config{}, err
 	}
-
-	pat, err := j.buildPattern(g.NumNodes)
+	pat, err := s.Destinations()
 	if err != nil {
 		return nil, nil, nil, sim.Config{}, err
 	}
@@ -122,42 +52,12 @@ func (j Job) build() (*topo.Graph, sim.Algorithm, traffic.Pattern, sim.Config, e
 	return g, alg, pat, cfg, nil
 }
 
-// buildTopology constructs just the job's topology. ModeAnalytic needs
-// no routing algorithm or traffic pattern, so analytic jobs may leave
-// Alg and Pattern empty.
-func (j Job) buildTopology() (topo.Topology, error) {
-	j = j.Normalize()
-	switch j.Net {
-	case "flatfly":
-		var opts []core.Option
-		if j.ChannelLatency != 1 {
-			opts = append(opts, core.WithChannelLatency(j.ChannelLatency))
-		}
-		if j.Multiplicity != 1 {
-			opts = append(opts, core.WithMultiplicity(j.Multiplicity))
-		}
-		return core.NewFlatFly(j.K, j.N, opts...)
-	case "butterfly":
-		return topo.NewButterfly(j.K, j.N)
-	case "foldedclos":
-		return topo.NewFoldedClos(j.K, j.Uplinks, j.Leaves, j.Middles)
-	case "hypercube":
-		return topo.NewHypercube(j.N)
-	case "slimfly":
-		return topo.NewSlimFly(j.Q, j.P)
-	case "dragonfly":
-		return topo.NewDragonfly(j.P, j.A, j.H)
-	default:
-		return nil, fmt.Errorf("sweep: unknown network constructor %q", j.Net)
-	}
-}
-
 // runAnalytic fills the result for ModeAnalytic: graph-analytic metrics
 // from internal/analysis plus the zero-load latency model standing in
 // for the load-point sample, so analytic sweeps emit the same Result
 // shape as simulated ones.
 func (j Job) runAnalytic(res *Result) error {
-	t, err := j.buildTopology()
+	t, err := j.Spec().Topology()
 	if err != nil {
 		return err
 	}
@@ -177,33 +77,6 @@ func (j Job) runAnalytic(res *Result) error {
 	res.Point.AvgHops = m.AvgHops
 	res.Point.AvgLatency = zl.Latency()
 	return nil
-}
-
-// buildPattern constructs the job's traffic pattern for an n-node
-// network through the internal/traffic registry: group patterns (WC,
-// TOR) use Conc terminals per group, HS/IC consume Hot and HotFraction,
-// and an unknown name surfaces as a *traffic.UnknownPatternError.
-func (j Job) buildPattern(nodes int) (traffic.Pattern, error) {
-	hot := make([]topo.NodeID, len(j.Hot))
-	for i, h := range j.Hot {
-		hot[i] = topo.NodeID(h)
-	}
-	return traffic.Build(j.Pattern, traffic.BuildCtx{
-		Nodes:         nodes,
-		Seed:          j.Seed,
-		Concentration: j.Conc,
-		HotSet:        hot,
-		HotFraction:   j.HotFraction,
-	})
-}
-
-// buildSource wraps the job's pattern in its arrival process: the
-// two-state on/off process when BurstPeak is set, Bernoulli otherwise.
-func (j Job) buildSource(pat traffic.Pattern) (traffic.Source, error) {
-	if j.BurstPeak > 0 {
-		return traffic.NewOnOff(pat, j.BurstPeak, j.BurstLen)
-	}
-	return traffic.NewBernoulli(pat), nil
 }
 
 // Run executes the job and returns its result. stop, when non-nil, is
@@ -304,7 +177,7 @@ func (j Job) run(stop func() bool, attach func(*sim.Network), resume io.Reader, 
 		}
 		if j.Load > 0 {
 			cc.Load = j.Load
-			cc.Source, err = j.buildSource(pat)
+			cc.Source, err = j.Spec().Arrivals(pat)
 			if err != nil {
 				return res, fmt.Errorf("sweep: job %s: %w", j.Hash()[:12], err)
 			}

@@ -20,7 +20,7 @@ import (
 
 	"flatnet/internal/analysis"
 	"flatnet/internal/sim"
-	"flatnet/internal/topo"
+	"flatnet/internal/traffic"
 )
 
 // Execution modes.
@@ -47,16 +47,18 @@ const (
 // Normalize makes those defaults explicit so that equivalent jobs hash
 // identically.
 type Job struct {
-	// Net selects the network constructor: "flatfly", "butterfly",
-	// "foldedclos" or "hypercube". See build.go for the parameter
-	// conventions of each.
+	// Net selects the network family: "flatfly", "butterfly",
+	// "foldedclos", "hypercube", "slimfly" or "dragonfly". Job.Spec maps
+	// the job onto internal/spec, which defines each family's
+	// parameters.
 	Net string `json:"net"`
 	// K and N parameterize the constructor (ary and dimension count for
 	// flatfly/butterfly; N is the dimension count for hypercube).
 	K int `json:"k,omitempty"`
 	N int `json:"n,omitempty"`
 	// Uplinks, Leaves and Middles are the extra folded-Clos parameters
-	// (K is the terminals-per-leaf count).
+	// (K is the terminals-per-leaf count); left zero, a foldedclos job
+	// cannot build, since a job carries no taper.
 	Uplinks int `json:"uplinks,omitempty"`
 	Leaves  int `json:"leaves,omitempty"`
 	Middles int `json:"middles,omitempty"`
@@ -84,7 +86,9 @@ type Job struct {
 	// names are canonicalized to these short forms).
 	Pattern string `json:"pattern"`
 	// Conc is the group concentration for the WC and TOR patterns
-	// (0 means K).
+	// (0 means the family's terminals per router group: K, P for
+	// slimfly, A·P for dragonfly; a hypercube keeps 0, which the traffic
+	// registry reads as one terminal per group).
 	Conc int `json:"conc,omitempty"`
 	// Hot lists the hot terminals for the HS pattern (empty means {0});
 	// IC sinks at the first entry. HotFraction is the excess traffic
@@ -151,54 +155,24 @@ func (j Job) Normalize() Job {
 	if j.PacketSize == 0 {
 		j.PacketSize = 1
 	}
-	if j.Multiplicity == 0 {
-		j.Multiplicity = 1
-	}
-	if j.ChannelLatency == 0 {
-		j.ChannelLatency = 1
-	}
-	switch j.Net {
-	case "slimfly":
-		if j.P == 0 {
-			j.P = topo.SlimFlyDefaultConc(j.Q)
-		}
-	case "dragonfly":
-		if j.A == 0 {
-			j.A = 2 * j.H
-		}
-		if j.P == 0 {
-			j.P = j.H
+	// The network defaults (and each family's group concentration) are
+	// the spec's; fields the job set explicitly stay as they are.
+	s := j.Spec().Normalize()
+	j.Net = s.Net
+	fill := func(dst *int, v int) {
+		if *dst == 0 {
+			*dst = v
 		}
 	}
-	if j.Conc == 0 {
-		switch j.Net {
-		case "slimfly":
-			j.Conc = j.P
-		case "dragonfly":
-			j.Conc = j.A * j.P // one group of terminals
-		default:
-			j.Conc = j.K
+	fill(&j.Multiplicity, s.Multiplicity)
+	fill(&j.ChannelLatency, s.ChannelLatency)
+	fill(&j.P, s.P)
+	fill(&j.A, s.A)
+	fill(&j.Conc, s.Conc)
+	for short, name := range patternAliases {
+		if j.Pattern == name {
+			j.Pattern = short
 		}
-	}
-	switch j.Pattern {
-	case "uniform":
-		j.Pattern = "UR"
-	case "worstcase":
-		j.Pattern = "WC"
-	case "bitcomp":
-		j.Pattern = "BC"
-	case "transpose":
-		j.Pattern = "TP"
-	case "shuffle":
-		j.Pattern = "SH"
-	case "tornado":
-		j.Pattern = "TOR"
-	case "randperm":
-		j.Pattern = "RP"
-	case "hotspot":
-		j.Pattern = "HS"
-	case "incast":
-		j.Pattern = "IC"
 	}
 	if j.BurstPeak > 0 && j.BurstLen == 0 {
 		j.BurstLen = 16
@@ -213,6 +187,10 @@ func (j Job) Normalize() Job {
 	}
 	return j
 }
+
+// patternAliases maps the registry's short pattern forms (UR, WC, ...),
+// which jobs carry, to the names they stand for.
+var patternAliases = traffic.Aliases()
 
 // hashVersion is bumped whenever the canonical encoding or the meaning
 // of any Job field changes, invalidating every cached result. v2: load

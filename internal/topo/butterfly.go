@@ -1,6 +1,9 @@
 package topo
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Butterfly is a conventional k-ary n-fly: n stages of k^(n-1) radix-k
 // routers with unidirectional channels. Terminals inject at stage 0 and
@@ -48,10 +51,16 @@ func NewDilatedButterfly(k, n, d int) (*Butterfly, error) {
 	b.pow = make([]int, n+1)
 	b.pow[0] = 1
 	for i := 1; i <= n; i++ {
+		if b.pow[i-1] > math.MaxInt/k {
+			return nil, fmt.Errorf("topo: butterfly k=%d n=%d overflows node count", k, n)
+		}
 		b.pow[i] = b.pow[i-1] * k
 	}
 	b.NumNodes = b.pow[n]
 	b.RoutersPerStage = b.pow[n-1]
+	if b.RoutersPerStage > math.MaxInt/n {
+		return nil, fmt.Errorf("topo: butterfly k=%d n=%d overflows router count", k, n)
+	}
 	b.NumRouters = n * b.RoutersPerStage
 	b.build()
 	return b, nil

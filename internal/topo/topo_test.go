@@ -75,6 +75,15 @@ func TestButterflyRejectsBadParams(t *testing.T) {
 	}
 }
 
+// TestButterflyRejectsOverflow checks a size past the int range is an
+// error: 1024^7 = 2^70 terminals used to wrap to 0.
+func TestButterflyRejectsOverflow(t *testing.T) {
+	b, err := NewButterfly(1024, 7)
+	if err == nil {
+		t.Fatalf("1024-ary 7-fly accepted with %d nodes", b.NumNodes)
+	}
+}
+
 func TestButterflyDestinationPath(t *testing.T) {
 	// Destination-tag routing must reach the right terminal: follow the
 	// OutputFor ports from every source's stage-0 router and confirm
